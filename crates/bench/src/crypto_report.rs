@@ -212,7 +212,7 @@ pub fn run(config: ReportConfig) -> CryptoReport {
 
 impl CryptoReport {
     /// Serializes as a flat JSON object (hand-rolled; the workspace has no
-    /// serde data formats).
+    /// serialization library).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let mut field = |key: &str, value: String| {

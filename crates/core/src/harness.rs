@@ -6,7 +6,6 @@
 //! rate-limited anonymous messages over gossip, detect double-signaling in
 //! their nullifier maps, and slash spammers back on the chain.
 
-use crate::epoch::EpochScheme;
 use crate::node::{PublishError, RlnRelayNode};
 use crate::pipeline::PipelineConfig;
 use crate::validator::{CostModel, RlnValidator};
@@ -20,6 +19,7 @@ use wakurln_crypto::merkle::{zero_hashes, AppendDelta, UpdateDelta};
 use wakurln_ethsim::types::{Address, CallData, ChainEvent, Wei, ETHER};
 use wakurln_ethsim::{Chain, ChainConfig};
 use wakurln_gossipsub::{GossipsubConfig, MessageId, ScoringConfig};
+use wakurln_model::EpochScheme;
 use wakurln_netsim::{topology, Network, NodeId, QuiescenceOutcome, UniformLatency};
 use wakurln_rln::{Identity, SharedGroup};
 use wakurln_zksnark::{ProvingKey, RlnCircuit, SimSnark, VerifyingKey};

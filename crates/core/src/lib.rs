@@ -7,9 +7,7 @@
 //!
 //! Layered on the workspace substrates:
 //!
-//! * [`epoch`] — epochs as external nullifiers and the `Thr = D/T` window,
 //! * [`codec`] — the RLN-signal wire format inside WAKU messages,
-//! * [`nullifier_map`] — windowed double-signaling detection state,
 //! * [`validator`] — the §III routing validation pipeline (proof → epoch →
 //!   nullifier map), pluggable into GossipSub,
 //! * [`pipeline`] — the staged, epoch-sharded batch pipeline that
@@ -46,17 +44,14 @@
 #![deny(missing_docs)]
 
 pub mod codec;
-pub mod epoch;
 pub mod harness;
 pub mod node;
-pub mod nullifier_map;
 pub mod pipeline;
 pub mod validator;
 
 pub use codec::{decode_signal, encode_signal, SignalCodecError, WireSignal};
-pub use epoch::EpochScheme;
 pub use harness::{PhaseTimings, Testbed, TestbedConfig};
 pub use node::{PublishError, RlnRelayNode};
-pub use nullifier_map::{NullifierMap, NullifierOutcome};
 pub use pipeline::{PipelineConfig, PipelineStats};
 pub use validator::{CostModel, RlnValidator, SpamDetection, ValidationStats};
+pub use wakurln_model::{EpochScheme, NullifierMap, NullifierOutcome};

@@ -1,11 +1,11 @@
 //! The WAKU-RLN-RELAY peer.
 
 use crate::codec::encode_signal;
-use crate::epoch::EpochScheme;
 use crate::validator::RlnValidator;
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::{zero_hashes, AppendDelta, MemberView, MerkleError, UpdateDelta};
 use wakurln_gossipsub::{GossipsubConfig, MessageId, Rpc, ScoringConfig, Topic};
+use wakurln_model::EpochScheme;
 use wakurln_netsim::{Context, Node, NodeId};
 use wakurln_relay::{WakuMessage, WakuRelayNode};
 use wakurln_rln::{create_signal, Identity};

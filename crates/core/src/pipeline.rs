@@ -321,8 +321,8 @@ impl PipelineState {
         }
 
         // stage 3 — batch verification of the surviving unique statements
-        // (parallel fan-out with the `parallel` feature; inline on one
-        // core), verdicts entering the epoch-sharded cache
+        // (parallel fan-out; inline on one core), verdicts entering the
+        // epoch-sharded cache
         let vk = validator.verifying_key().clone();
         let jobs: Vec<&Candidate> = to_verify.iter().map(|i| &candidates[*i]).collect();
         let verdicts = wakurln_zksnark::parallel::par_map(&jobs, 2, |c| {

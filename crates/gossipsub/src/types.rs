@@ -1,11 +1,10 @@
 //! Wire types and the message cache.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wakurln_netsim::{Bytes, Payload};
 
 /// A pub/sub topic (peers congregate around topics, §I).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Topic(pub String);
 
 impl Topic {
@@ -27,7 +26,7 @@ impl std::fmt::Display for Topic {
 /// `(topic, data)` only — two peers publishing identical bytes produce the
 /// same id (deduplicated), and nothing in the id links a message to its
 /// origin.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MessageId(pub [u8; 32]);
 
 impl MessageId {
@@ -58,7 +57,7 @@ impl std::fmt::Debug for MessageId {
 ///
 /// The payload is [`Bytes`]: forwarding the message along the mesh clones
 /// a reference count, not the payload itself.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RawMessage {
     /// Destination topic.
     pub topic: Topic,
@@ -74,7 +73,7 @@ impl RawMessage {
 }
 
 /// GossipSub RPC frames exchanged between peers.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Rpc {
     /// Announce subscription to a topic.
     Subscribe(Topic),

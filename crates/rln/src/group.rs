@@ -1,7 +1,6 @@
 //! Local (off-chain) view of the RLN membership group.
 
 use crate::identity::Identity;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::{
@@ -278,7 +277,7 @@ impl RlnGroup {
 
 /// A membership event as emitted by the registry contract and consumed by
 /// synchronizing peers (§III "Group Synchronization").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum MembershipEvent {
     /// A new member registered with this commitment (appended at `index`).
     Registered {

@@ -7,7 +7,6 @@
 
 use crate::identity::Identity;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::MerkleProof;
 use wakurln_crypto::poseidon;
@@ -17,7 +16,7 @@ use wakurln_zksnark::{
 };
 
 /// A complete RLN signal, ready to be wrapped in a routing-layer message.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Signal {
     /// The application message `m`.
     pub message: Vec<u8>,
@@ -128,9 +127,8 @@ pub fn verify_signal(
 }
 
 /// Statelessly verifies a batch of signals against one accepted root,
-/// fanning zkSNARK verification out across worker threads (with the
-/// `parallel` feature; inline otherwise). Returns per-signal validity in
-/// input order — equivalent to mapping [`verify_signal`].
+/// fanning zkSNARK verification out across worker threads (inline on
+/// one core). Returns per-signal validity in input order — equivalent to mapping [`verify_signal`].
 pub fn verify_signal_batch(
     verifying_key: &VerifyingKey,
     expected_root: Fr,

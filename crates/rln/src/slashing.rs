@@ -8,12 +8,11 @@
 
 use crate::identity::Identity;
 use crate::signal::Signal;
-use serde::{Deserialize, Serialize};
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::shamir;
 
 /// The result of comparing two signals that share an internal nullifier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DoubleSignalOutcome {
     /// The signals are byte-identical duplicates (normal gossip behaviour,
     /// not spam).
@@ -27,7 +26,7 @@ pub enum DoubleSignalOutcome {
 }
 
 /// Evidence of a slashing, ready to submit to the membership contract.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlashingEvidence {
     /// The reconstructed secret key.
     pub revealed_secret: Fr,

@@ -332,7 +332,7 @@ fn json_opt_u64(v: Option<u64>) -> String {
 
 impl ScenarioReport {
     /// Serializes as a flat JSON object (hand-rolled; the workspace has
-    /// no serde data formats). Field order and float formatting are
+    /// no serialization library). Field order and float formatting are
     /// fixed, so identical runs produce identical bytes.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");

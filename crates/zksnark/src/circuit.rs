@@ -18,13 +18,12 @@
 
 use crate::gadgets::{merkle_root, poseidon_hash1, poseidon_hash2, Boolean, Num};
 use crate::r1cs::ConstraintSystem;
-use serde::{Deserialize, Serialize};
 use wakurln_crypto::field::Fr;
 use wakurln_crypto::merkle::MerkleProof;
 use wakurln_crypto::poseidon;
 
 /// The public inputs of an RLN proof, in canonical order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RlnPublicInputs {
     /// Membership tree root the prover claims membership under.
     pub root: Fr,
@@ -74,7 +73,7 @@ impl RlnWitness {
 }
 
 /// The RLN circuit for a fixed membership-tree depth.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RlnCircuit {
     depth: usize,
 }

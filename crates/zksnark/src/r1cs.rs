@@ -10,12 +10,11 @@
 //! simulated backend in [`crate::snark`] proves satisfaction of exactly
 //! these constraints.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wakurln_crypto::field::Fr;
 
 /// A variable in the constraint system.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Variable {
     /// The constant `1` wire.
     One,
@@ -26,7 +25,7 @@ pub enum Variable {
 }
 
 /// A sparse linear combination `Σ coeff · var`.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinearCombination {
     terms: Vec<(Variable, Fr)>,
 }
@@ -108,7 +107,7 @@ impl From<Variable> for LinearCombination {
 }
 
 /// One R1CS constraint `a · b = c` with a diagnostic label.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Constraint {
     /// Left factor.
     pub a: LinearCombination,

@@ -42,7 +42,6 @@
 use crate::circuit::{RlnCircuit, RlnPublicInputs, RlnWitness};
 use crate::r1cs::ConstraintSystem;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wakurln_crypto::sha256::Sha256;
 
@@ -91,7 +90,7 @@ impl std::error::Error for ProveError {}
 /// Its reported size models a Groth16 proving key (linear in the number of
 /// constraint-matrix entries) — the paper's §IV quotes ≈3.89 MB for the
 /// `kilic/rln` prover key, reproduced by experiment E3.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProvingKey {
     circuit: RlnCircuit,
     srs_secret: [u8; 32],
@@ -112,7 +111,7 @@ impl ProvingKey {
 }
 
 /// The verifying key: constant-size, independent of the circuit depth.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VerifyingKey {
     circuit: RlnCircuit,
     srs_secret: [u8; 32],
@@ -132,12 +131,12 @@ impl VerifyingKey {
 }
 
 /// A constant-size simulated proof.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Proof {
     /// Simulated `π_A` (32 bytes) and `π_C` (32 bytes) around `π_B`
     /// (64 bytes) — jointly random-looking bytes derived from fresh prover
     /// randomness, carrying no witness information. Stored as four 32-byte
-    /// words for serde compatibility.
+    /// words.
     pub elements: [[u8; 32]; 4],
     /// MAC binding `elements` and the public inputs under the SRS secret.
     pub binding: [u8; BINDING_BYTES],
@@ -217,8 +216,8 @@ impl SimSnark {
     }
 
     /// Generates proofs for many statements, fanning the witness synthesis
-    /// and constraint checking out across worker threads (with the
-    /// `parallel` feature; inline otherwise). Per-statement randomness is
+    /// and constraint checking out across worker threads (inline on one
+    /// core). Per-statement randomness is
     /// drawn from `rng` up front (one 32-byte seed per job, including jobs
     /// that end up failing), so all-success batches produce proofs
     /// identical to sequential [`SimSnark::prove`] calls on the same RNG.
@@ -291,8 +290,8 @@ impl SimSnark {
             == 0
     }
 
-    /// Verifies many statements, fanning out across worker threads (with
-    /// the `parallel` feature; inline otherwise). Returns per-statement
+    /// Verifies many statements, fanning out across worker threads
+    /// (inline on one core). Returns per-statement
     /// validity in input order — the entry point a validator uses when
     /// draining its message queue.
     pub fn verify_batch(vk: &VerifyingKey, statements: &[(&RlnPublicInputs, &Proof)]) -> Vec<bool> {
